@@ -20,6 +20,9 @@ cargo test --offline -q
 echo "==> member-crate unit tests (root package already covered by tier-1)"
 cargo test --offline --workspace --exclude p4db -q
 
+echo "==> repo benchmark builds: perfbench is outside the workspace, so API changes must not break it silently"
+cargo check --offline --all-targets --manifest-path perfbench/Cargo.toml
+
 echo "==> chaos smoke gate: fixed-seed fault + crash paths (incl. 2-switch per-switch crash/recovery, supervised blackhole outage liveness) with invariant checking"
 cargo test --offline --release -q --test chaos smoke_ -- --nocapture
 
@@ -29,7 +32,7 @@ cargo test --offline --release -q --test batching batched_chaos -- --nocapture
 echo "==> topology gate: 1-switch vs 2-switch differential on one workload (full 12x3 sweep runs in tier-1)"
 cargo test --offline --release -q --test topology topology_differential_smallbank -- --nocapture
 
-echo "==> recovery gate: fixed-seed checkpoint+tail vs genesis restart, torn-checkpoint fallback, codec-arm agreement (full 12x3 differential sweep runs in tier-1)"
+echo "==> recovery gate: fixed-seed checkpoint+tail vs genesis restart, torn-checkpoint fallback (full 12x3 durability sweep runs in tier-1)"
 cargo test --offline --release -q --test durability smoke_recovery_ -- --nocapture
 
 echo "==> mvcc gate: snapshot-vs-2PL differential sweep, zero-lock read path, GC safety, doctored-chain detection"

@@ -1,11 +1,13 @@
 //! Regenerates every table and figure of the paper's evaluation section.
 //!
-//! Run with `cargo bench -p p4db-bench --bench figures`. Environment knobs:
+//! Run with `cargo bench -p p4db-bench --bench figures [-- FILTER...]`, where
+//! each filter selects the figures whose names start with it; a filter that
+//! matches no figure exits with status 2. Environment knobs:
 //! `P4DB_MEASURE_MS` (per-point measurement time, default 250 ms),
 //! `P4DB_FULL=1` (wider parameter sweeps) and `P4DB_BENCH_JSON` (output
 //! path for the machine-readable datapoints, default `BENCH_10.json` at the
-//! workspace root). Stdout is markdown; redirect it into a file to update
-//! `EXPERIMENTS.md`. The figures that ran are additionally serialised as
+//! workspace root). Stdout is markdown: one table per figure, to compare
+//! against the paper's. The figures that ran are additionally serialised as
 //! `BenchPoint`s, merged by figure into the JSON file, which the CI
 //! regression gate diffs against `BENCH_baseline.json`.
 
@@ -38,10 +40,16 @@ fn main() {
     ];
 
     // Allow running a subset: `cargo bench --bench figures -- fig13 fig14`.
-    let filter: Vec<String> = std::env::args().skip(1).filter(|a| a.starts_with("fig")).collect();
+    // Flags (cargo passes `--bench`) are not filters.
+    let filter: Vec<String> = std::env::args().skip(1).filter(|a| !a.starts_with('-')).collect();
+    let names: Vec<&str> = figures.iter().map(|&(name, _)| name).collect();
+    let selected = select_figures(&names, &filter).unwrap_or_else(|err| {
+        eprintln!("[figures] {err}");
+        std::process::exit(2);
+    });
     let mut points = Vec::new();
     for (name, f) in figures {
-        if !filter.is_empty() && !filter.iter().any(|want| name.starts_with(want.as_str())) {
+        if !selected.contains(&name) {
             continue;
         }
         eprintln!("[figures] running {name} ...");

@@ -2,9 +2,8 @@
 //!
 //! The benchmark harness that regenerates every table and figure of the
 //! paper's evaluation (§7). Each `benches/` target calls the `figXX_*`
-//! functions below and prints the resulting markdown table; the same
-//! functions are used to produce `EXPERIMENTS.md`. Every function also
-//! records its raw measurements as [`BenchPoint`]s on the returned
+//! functions below and prints the resulting markdown table. Every function
+//! also records its raw measurements as [`BenchPoint`]s on the returned
 //! [`FigureTable`], which the bench targets serialise into `BENCH_10.json`
 //! (see [`json`]) — the machine-readable perf trajectory that the CI
 //! regression gate diffs against `BENCH_baseline.json`.
@@ -75,6 +74,22 @@ impl BenchProfile {
             vec![0.25, 0.75]
         }
     }
+}
+
+/// Resolves the `figures` bench's filter arguments against its figure names:
+/// every argument selects each figure whose name starts with it, and no
+/// arguments select every figure. Returns the selected names in figure
+/// order, or an error naming the first argument that matches nothing — a
+/// typo must fail the run, not pass it by running no figure at all.
+pub fn select_figures<'a>(names: &[&'a str], filter: &[String]) -> Result<Vec<&'a str>, String> {
+    if let Some(unknown) = filter.iter().find(|want| !names.iter().any(|name| name.starts_with(want.as_str()))) {
+        return Err(format!("figure filter {unknown:?} matches no figure (known: {})", names.join(", ")));
+    }
+    Ok(names
+        .iter()
+        .copied()
+        .filter(|name| filter.is_empty() || filter.iter().any(|want| name.starts_with(want.as_str())))
+        .collect())
 }
 
 fn ycsb(mix: YcsbMix) -> Arc<dyn Workload> {
@@ -1103,6 +1118,19 @@ mod tests {
                 println!("  {:<18} {:>8.0} ns/txn", phase.label(), d.as_nanos());
             }
         }
+    }
+
+    #[test]
+    fn figure_filters_select_by_prefix_and_reject_unknown_names() {
+        let names = ["fig01", "fig11_contention", "fig11_distributed", "fig_recovery"];
+        let filter = |args: &[&str]| args.iter().map(|a| a.to_string()).collect::<Vec<_>>();
+        assert_eq!(select_figures(&names, &[]).unwrap(), names);
+        assert_eq!(select_figures(&names, &filter(&["fig11"])).unwrap(), ["fig11_contention", "fig11_distributed"]);
+        assert_eq!(select_figures(&names, &filter(&["fig_recovery", "fig01"])).unwrap(), ["fig01", "fig_recovery"]);
+        // One unknown name fails the whole selection, even beside known ones.
+        let err = select_figures(&names, &filter(&["fig01", "fig99"])).unwrap_err();
+        assert!(err.contains("\"fig99\""), "{err}");
+        assert!(select_figures(&names, &filter(&["recovery"])).is_err(), "filters match name prefixes only");
     }
 
     #[test]

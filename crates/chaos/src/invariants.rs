@@ -184,8 +184,8 @@ struct EpochLog {
 /// under the same `TxnId`, but within one switch's view each `TxnId` appears
 /// at most once (the executor sends at most one sub-transaction per switch).
 fn epoch_log(cluster: &Cluster, switch: SwitchId) -> EpochLog {
-    let epoch = cluster.switch_epoch_at(switch);
-    let owned: HashSet<TupleId> = cluster.control_plane_at(switch).placements().map(|(t, _)| t).collect();
+    let epoch = cluster.switch_epoch(switch);
+    let owned: HashSet<TupleId> = cluster.control_plane(switch).placements().map(|(t, _)| t).collect();
     let mut intents = HashMap::new();
     let mut results = HashMap::new();
     for (n, storage) in cluster.shared().nodes.iter().enumerate() {
@@ -256,8 +256,8 @@ pub fn check(cluster: &Cluster, semantics: SemanticChecks) -> InvariantReport {
         let switch = SwitchId(s as u16);
         let log = epoch_log(cluster, switch);
         let audit: Vec<(TxnId, GlobalTxnId)> = {
-            let full = cluster.switch_audit_at(switch);
-            let start = cluster.switch_epoch_at(switch).audit_start.min(full.len());
+            let full = cluster.switch_audit(switch);
+            let start = cluster.switch_epoch(switch).audit_start.min(full.len());
             full[start..].to_vec()
         };
         if audit_enabled {
@@ -323,7 +323,7 @@ fn check_switch(
     money_tables: &[p4db_common::TableId],
     money_delta: &mut i128,
 ) {
-    let epoch = cluster.switch_epoch_at(switch);
+    let epoch = cluster.switch_epoch(switch);
 
     // --- Exactly-once accounting ---------------------------------------
     let mut executed_times: HashMap<TxnId, usize> = HashMap::new();
@@ -385,7 +385,7 @@ fn check_switch(
             }
         }
     }
-    for (tuple, live) in cluster.control_plane_at(switch).snapshot() {
+    for (tuple, live) in cluster.control_plane(switch).snapshot() {
         let expected = shadow.get(&tuple).copied().unwrap_or_else(|| epoch.baseline.get(&tuple).copied().unwrap_or(0));
         if live != expected {
             report.violations.push(Violation::SwitchDivergence { tuple, live, shadow: expected });
@@ -399,7 +399,7 @@ fn switch_owned(cluster: &Cluster) -> HashMap<TupleId, SwitchId> {
     let mut owned = HashMap::new();
     for s in 0..cluster.num_switches() {
         let switch = SwitchId(s as u16);
-        for (tuple, _) in cluster.control_plane_at(switch).placements() {
+        for (tuple, _) in cluster.control_plane(switch).placements() {
             owned.insert(tuple, switch);
         }
     }
@@ -434,7 +434,7 @@ fn check_cold(cluster: &Cluster, report: &mut InvariantReport, money_tables: &[p
             if let LogRecord::ColdWrite { txn, tuple, before, after } = r {
                 if committed.get(txn).copied().unwrap_or(false) && money_tables.contains(&tuple.table) {
                     if let Some(&s) = owned.get(tuple) {
-                        let fence = cluster.switch_epoch_at(s).wal_start.get(n).copied().unwrap_or(0);
+                        let fence = cluster.switch_epoch(s).wal_start.get(n).copied().unwrap_or(0);
                         if i < fence {
                             continue; // baked into the re-admission baseline
                         }
@@ -674,7 +674,7 @@ fn check_smallbank(
     // for them relative to the offload-time values, switch by switch (each
     // switch's epoch moves independently under per-switch crash/recovery).
     let baselines: Vec<(SwitchId, &HashMap<TupleId, u64>)> = (0..cluster.num_switches())
-        .map(|s| (SwitchId(s as u16), &cluster.switch_epoch_at(SwitchId(s as u16)).baseline))
+        .map(|s| (SwitchId(s as u16), &cluster.switch_epoch(SwitchId(s as u16)).baseline))
         .collect();
     let pre_epoch_delta =
         pre_epoch_money_delta(&baselines, cluster.offload_snapshot(), &[SAVINGS, CHECKING], &mut report.violations);

@@ -10,7 +10,6 @@ use crate::cluster::{Cluster, ClusterConfig};
 use p4db_common::faults::FaultPlan;
 use p4db_common::{CcScheme, LatencyConfig, Result, SystemMode};
 use p4db_layout::LayoutStrategy;
-use p4db_storage::WalCodec;
 use p4db_switch::SwitchConfig;
 use p4db_workloads::Workload;
 use std::sync::Arc;
@@ -156,15 +155,7 @@ impl ClusterBuilder {
         self
     }
 
-    /// Serialisation arm the durability paths round-trip the WAL through:
-    /// the segmented binary codec (the default) or the line-oriented text
-    /// codec kept as the compatibility/differential arm.
-    pub fn wal_codec(mut self, codec: WalCodec) -> Self {
-        self.config.wal_codec = codec;
-        self
-    }
-
-    /// Records per sealed WAL segment (binary arm; clamped to at least 1).
+    /// Records per sealed WAL segment (clamped to at least 1).
     pub fn wal_segment_records(mut self, records: usize) -> Self {
         self.config.wal_segment_records = records.max(1);
         self

@@ -1,12 +1,12 @@
 //! The binary, segmented on-disk codec of the write-ahead log.
 //!
-//! This is the default crash-drill arm of [`crate::wal::Wal`] (the text
-//! format stays available as the compatibility/differential arm). It reuses
-//! the checksummed, truncation-safe wire idiom of `p4db_net::frame`: a
-//! 5-byte versioned magic, then length-prefixed records each closed by an
+//! This is the one on-disk format of [`crate::wal::Wal`]. It reuses the
+//! checksummed, truncation-safe wire idiom of `p4db_net::frame`: a 5-byte
+//! versioned magic, then length-prefixed records each closed by an
 //! FNV-1a-64 checksum over the record's own bytes, so a prefix of a segment
 //! decodes to a prefix of its records and a torn final record is detected
-//! rather than misparsed.
+//! rather than misparsed (without the checksum, `Commit { txn: 10 }` torn
+//! mid-write could decode as a different but well-formed record).
 //!
 //! ## Wire format
 //!
@@ -26,18 +26,19 @@
 //!
 //! ## Torn tail vs. interior corruption
 //!
-//! The same contract as the text codec (see [`crate::wal`]), expressed in
-//! bytes: a record that fails **at the physical end of the final segment** —
-//! a truncated length header, a body or checksum cut short, or a checksum
-//! mismatch on a record ending exactly at the buffer's last byte — is a
-//! legitimate torn tail; [`decode_segments`] returns the intact prefix plus
-//! the tear as a note. A checksum mismatch with bytes *remaining after* the
-//! record, or any failure in a sealed (non-final) segment, is interior
-//! corruption — data loss that must not be silently truncated away — and is
-//! a hard [`WalCodecError`]. (One inherent limit of length-prefixed framing:
-//! a corrupted length field that points past the end of the final segment is
-//! indistinguishable from a tear and is treated as one; in every other
-//! position the checksum, which covers the length bytes, catches it.)
+//! A failing record is classified by *where* it fails, and the two cases
+//! have opposite meanings. A record that fails **at the physical end of the
+//! final segment** — a truncated length header, a body or checksum cut
+//! short, or a checksum mismatch on a record ending exactly at the buffer's
+//! last byte — is what a crash mid-flush produces, a legitimate torn tail:
+//! [`decode_segments`] returns the intact prefix plus the tear as a note. A
+//! checksum mismatch with bytes *remaining after* the record, or any failure
+//! in a sealed (non-final) segment, is interior corruption — data loss that
+//! must not be silently truncated away — and is a hard [`WalCodecError`].
+//! (One inherent limit of length-prefixed framing: a corrupted length field
+//! that points past the end of the final segment is indistinguishable from a
+//! tear and is treated as one; in every other position the checksum, which
+//! covers the length bytes, catches it.)
 
 use crate::wal::{LogRecord, LoggedSwitchOp, WalCodecError};
 use p4db_common::{GlobalTxnId, TableId, TupleId, TxnId, Value};
@@ -49,8 +50,9 @@ pub const SEGMENT_MAGIC: &[u8; 5] = b"P4WS\x01";
 /// Byte length of the segment header (magic + base LSN).
 const HEADER_BYTES: usize = SEGMENT_MAGIC.len() + 8;
 
-/// FNV-1a 64-bit over raw bytes — the same function as the text codec's
-/// per-line checksum, applied to the binary record frame.
+/// FNV-1a 64-bit over raw bytes, the per-record checksum. Not cryptographic —
+/// it only needs to make it overwhelmingly unlikely that a torn or
+/// bit-flipped record still carries a matching checksum.
 pub(crate) fn fnv1a_bytes(bytes: &[u8]) -> u64 {
     let mut hash: u64 = 0xcbf2_9ce4_8422_2325;
     for &byte in bytes {
@@ -89,7 +91,7 @@ pub(crate) fn put_value(out: &mut Vec<u8>, value: &Value) {
     }
 }
 
-/// Stable wire code of an opcode (the binary sibling of [`OpCode::name`]).
+/// Stable wire code of an opcode.
 fn opcode_code(op: OpCode) -> u8 {
     match op {
         OpCode::Read => 0,
@@ -423,7 +425,8 @@ pub fn peek_base_lsn(bytes: &[u8]) -> Result<Option<u64>, WalCodecError> {
 /// LSNs), which is what makes a checkpointed restart O(tail) instead of
 /// O(log). Decoding starts at the last segment whose base LSN is ≤
 /// `from_lsn` and follows the same continuity and final-only-tear rules as
-/// [`decode_segments`]. Returns the records from `from_lsn` on, plus the
+/// [`decode_segments`]; a first segment that starts *after* `from_lsn` is a
+/// gap and a hard error. Returns the records from `from_lsn` on, plus the
 /// torn-tail note if the final segment was torn.
 #[allow(clippy::type_complexity)]
 pub fn decode_segment_tail(
@@ -454,6 +457,16 @@ pub fn decode_segment_tail(
                 })
             }
         }
+    }
+    // The first segment present must cover `from_lsn`: if it starts later,
+    // the records in between are missing, not skippable.
+    if let Some(&first) = bases.first().filter(|&&first| first > from_lsn) {
+        return Err(WalCodecError {
+            line: 0,
+            message: format!(
+                "segment 0 starts at LSN {first} but replay starts at LSN {from_lsn} — missing or reordered segment"
+            ),
+        });
     }
     // Last segment whose base is ≤ from_lsn: the fence lands inside it (or
     // at its start), so everything before it holds only pre-fence records.
@@ -500,7 +513,6 @@ pub fn decode_segment_tail(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::wal::Wal;
     use p4db_common::{NodeId, WorkerId};
 
     fn txn(seq: u32) -> TxnId {
@@ -633,21 +645,93 @@ mod tests {
         assert!(decode_segment_tail(&bad, 4).unwrap_err().message.contains("magic"));
         let reordered = vec![blobs[1].clone(), blobs[0].clone(), blobs[2].clone()];
         assert!(decode_segment_tail(&reordered, 4).unwrap_err().message.contains("missing or reordered"));
+        // A gap below the first segment present is data loss, never a skip:
+        // with LSNs 0–1 missing, replay from any fence below 2 must fail
+        // exactly as the full decode does.
+        let gapped = vec![blobs[1].clone(), blobs[2].clone()];
+        assert!(decode_segments(&gapped).unwrap_err().message.contains("missing or reordered"));
+        for fence in 0..2 {
+            let err = decode_segment_tail(&gapped, fence).unwrap_err();
+            assert!(err.message.contains("missing or reordered"), "fence {fence}: {err}");
+        }
+        // From the first present base on, the tail is all there.
+        assert_eq!(decode_segment_tail(&gapped, 2).unwrap().0, records[2..]);
     }
 
     #[test]
-    fn wal_segment_arm_matches_text_arm() {
-        // The two serialisation arms of the same log decode to identical
-        // record vectors.
-        let wal = Wal::with_segment_capacity(2);
-        for r in sample_records() {
-            wal.append(r);
+    fn flipped_byte_anywhere_is_detected() {
+        // Any single corrupted byte — magic, base LSN, length, body or
+        // checksum — is an error or a torn-tail note, and the records
+        // decoded before it are an intact prefix. Never a clean decode.
+        let records = sample_records();
+        let blob = encode_segment(0, &records);
+        for at in 0..blob.len() {
+            for mask in [0x01u8, 0xff] {
+                let mut corrupt = blob.clone();
+                corrupt[at] ^= mask;
+                match decode_segments(&[corrupt]) {
+                    Err(_) => {}
+                    Ok((prefix, torn)) => {
+                        assert!(torn.is_some(), "byte {at} ^ {mask:#x} decoded cleanly");
+                        assert!(prefix.len() < records.len() && records.starts_with(&prefix), "byte {at} ^ {mask:#x}");
+                    }
+                }
+            }
         }
-        let from_text = Wal::deserialize(&wal.serialize()).unwrap();
-        let blobs = wal.serialize_segments();
-        let views: Vec<&[u8]> = blobs.iter().map(|b| b.as_slice()).collect();
-        let (from_binary, torn) = Wal::deserialize_segments(&views, 2).unwrap();
-        assert!(torn.is_none());
-        assert_eq!(from_text.records(), from_binary.records());
+    }
+
+    /// One segment holding a single hand-written record body under a valid
+    /// length and checksum, so body-level validation is what must fail.
+    fn framed(body: &[u8]) -> Vec<u8> {
+        let mut out = SEGMENT_MAGIC.to_vec();
+        put_u64(&mut out, 0);
+        put_u32(&mut out, body.len() as u32);
+        out.extend_from_slice(body);
+        let crc = fnv1a_bytes(&out[HEADER_BYTES..]);
+        put_u64(&mut out, crc);
+        out
+    }
+
+    #[test]
+    fn corrupt_bodies_with_valid_checksums_are_rejected() {
+        let mut cold = vec![1];
+        put_u64(&mut cold, 3);
+        put_tuple(&mut cold, tuple(9));
+        let mut zero_width = cold.clone();
+        zero_width.push(0); // a before image with no fields
+        let mut intent = vec![2];
+        put_u64(&mut intent, 3);
+        put_u16(&mut intent, 1);
+        put_tuple(&mut intent, tuple(1));
+        let mut bad_opcode = intent.clone();
+        bad_opcode.push(6);
+        put_u64(&mut bad_opcode, 2);
+        bad_opcode.extend_from_slice(&[0, 0]);
+        let mut bad_from_flag = intent;
+        bad_from_flag.push(opcode_code(OpCode::Add));
+        put_u64(&mut bad_from_flag, 2);
+        bad_from_flag.extend_from_slice(&[2, 0]);
+        let mut short_results = vec![3];
+        put_u64(&mut short_results, 3);
+        put_u64(&mut short_results, 1);
+        put_u16(&mut short_results, 2); // claims two results, carries one
+        put_tuple(&mut short_results, tuple(1));
+        put_u64(&mut short_results, 3);
+        let mut trailing = vec![4];
+        put_u64(&mut trailing, 3);
+        trailing.push(0xaa);
+        let cases: [(&str, Vec<u8>); 7] = [
+            ("unknown record tag", vec![9, 0, 0, 0, 0, 0, 0, 0, 0]),
+            ("record body too short", vec![4, 1, 2, 3]),
+            ("invalid before image width", zero_width),
+            ("unknown opcode", bad_opcode),
+            ("invalid operand source flag", bad_from_flag),
+            ("record body too short", short_results),
+            ("trailing garbage", trailing),
+        ];
+        for (expected, body) in cases {
+            let err = decode_segment_prefix(&framed(&body)).unwrap_err();
+            assert!(err.message.contains(expected), "expected {expected:?}, got {err}");
+        }
     }
 }

@@ -907,7 +907,7 @@ impl Worker {
             // Lock acquisition: at the owning node (normal path) or at the
             // switch lock manager for hot-set tuples in LM-Switch mode.
             let handle = if lm_lock {
-                match self.lm_acquire(op.tuple, op.kind.is_write()) {
+                match self.lm_lock_once(&req.ops, op.tuple, state) {
                     Ok(true) => {}
                     Ok(false) => {
                         let e = Error::lock_conflict(op.tuple);
@@ -919,7 +919,6 @@ impl Worker {
                         return Err(e);
                     }
                 }
-                state.switch_locks.push((HotSetIndex::lock_id(op.tuple), op.kind.is_write()));
                 // The data still lives on the host; resolve without a host
                 // lock (the switch lock manager serialises access).
                 match self.shared.node(op.home).table(op.tuple.table) {
@@ -1121,8 +1120,7 @@ impl Worker {
 
         for slot in 0..state.order.len() {
             let i = state.order[slot];
-            let op = &req.ops[i];
-            match self.execute_cold_op_single_latch(txn_id, op, i, index, results, state, stats, &mut watch) {
+            match self.execute_cold_op_single_latch(txn_id, &req.ops, i, index, results, state, stats, &mut watch) {
                 Ok(()) => {}
                 Err(e) => {
                     self.fail_host(txn_id, state, stats, &e);
@@ -1140,7 +1138,7 @@ impl Worker {
     fn execute_cold_op_single_latch(
         &mut self,
         txn_id: TxnId,
-        op: &TxnOp,
+        ops: &[TxnOp],
         op_index: usize,
         index: &HotSetIndex,
         results: &mut [u64],
@@ -1148,6 +1146,7 @@ impl Worker {
         stats: &mut WorkerStats,
         watch: &mut Stopwatch,
     ) -> Result<()> {
+        let op = &ops[op_index];
         let remote = op.home != self.node;
         let storage = Arc::clone(self.shared.node(op.home));
         let lock_mode = if op.kind.is_write() { LockMode::Exclusive } else { LockMode::Shared };
@@ -1159,11 +1158,9 @@ impl Worker {
 
         let lm_lock = self.shared.config.mode == SystemMode::LmSwitch && index.is_hot(op.tuple);
         if lm_lock {
-            let granted = self.lm_acquire(op.tuple, op.kind.is_write())?;
-            if !granted {
+            if !self.lm_lock_once(ops, op.tuple, state)? {
                 return Err(Error::lock_conflict(op.tuple));
             }
-            state.switch_locks.push((HotSetIndex::lock_id(op.tuple), op.kind.is_write()));
             stats.record_phase(Phase::LockAcquisition, watch.lap());
         } else {
             storage.locks().acquire(txn_id, op.tuple, lock_mode, self.shared.config.cc)?;
@@ -1434,6 +1431,26 @@ impl Worker {
     fn fail_host(&mut self, txn_id: TxnId, state: &mut HostTxnState, stats: &mut WorkerStats, e: &Error) {
         self.abort_host(txn_id, state, stats);
         stats.record_abort(e.abort_reason().unwrap_or(AbortReason::ConstraintViolation));
+    }
+
+    /// Takes the switch lock manager's lock on `tuple` once per transaction
+    /// (LM-Switch baseline): exclusive if any of the footprint's accesses to
+    /// it writes, and a no-op when the transaction already holds it. The
+    /// switch lock manager keeps no owner, so a second request would be
+    /// denied by the transaction's own lock — a footprint that reads then
+    /// writes one hot tuple (SmallBank Amalgamate) could never commit.
+    /// Returns whether the lock is held.
+    fn lm_lock_once(&mut self, ops: &[TxnOp], tuple: TupleId, state: &mut HostTxnState) -> Result<bool> {
+        let lock_id = HotSetIndex::lock_id(tuple);
+        if state.switch_locks.iter().any(|&(held, _)| held == lock_id) {
+            return Ok(true);
+        }
+        let exclusive = ops.iter().any(|op| op.tuple == tuple && op.kind.is_write());
+        if !self.lm_acquire(tuple, exclusive)? {
+            return Ok(false);
+        }
+        state.switch_locks.push((lock_id, exclusive));
+        Ok(true)
     }
 
     /// Acquires a lock on the switch lock manager (LM-Switch baseline).
@@ -1835,6 +1852,25 @@ mod tests {
         // The switch data plane never executed a transaction in LM mode.
         assert_eq!(rig._switch.stats().txns_executed, 0);
         assert!(rig._switch.stats().lm_requests >= 2);
+    }
+
+    #[test]
+    fn lm_switch_mode_locks_a_tuple_once_per_transaction() {
+        let rig = rig(SystemMode::LmSwitch, CcScheme::NoWait);
+        let mut w = worker(&rig, 0, 0);
+        let mut stats = WorkerStats::new();
+
+        // Read, then write, one hot tuple (the SmallBank Amalgamate shape):
+        // the switch lock manager keeps no owner, so a second request would
+        // be denied by the transaction's own lock.
+        let req = TxnRequest::new(vec![op(1, OpKind::Read), op(1, OpKind::Write(7))]);
+        let out = w.execute(&req, &mut stats).unwrap();
+        assert_eq!(out.results[0], 100);
+        assert_eq!(rig.shared.node(home(1)).table(TBL).unwrap().read(1).unwrap().switch_word(), 7);
+        // One exclusive request, released at commit: the next one is granted.
+        w.execute(&TxnRequest::new(vec![op(1, OpKind::Add(1))]), &mut stats).unwrap();
+        assert_eq!(rig._switch.stats().lm_requests, 2);
+        assert_eq!(stats.aborts_total(), 0);
     }
 
     #[test]

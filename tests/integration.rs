@@ -185,6 +185,26 @@ fn operand_from_forwards_results_on_the_switch_path_through_a_session() {
 }
 
 #[test]
+fn lm_switch_commits_an_amalgamate_over_hot_customers_in_one_attempt() {
+    let cluster = Cluster::builder(smallbank()).test_profile().mode(SystemMode::LmSwitch).cc(CcScheme::NoWait).build();
+    let mut session = cluster.session(NodeId(0)).unwrap();
+    session.set_max_attempts(1); // nothing else runs: the first attempt must commit
+
+    // Reads, then zeroes, one hot savings account: the switch lock manager
+    // must be asked once, for an exclusive lock, not shared-then-exclusive.
+    let (c1, c2) = (1u64, 2u64);
+    let txn = Txn::new()
+        .read(TupleId::new(SAVINGS, c1))
+        .write(TupleId::new(SAVINGS, c1), 0)
+        .add(TupleId::new(CHECKING, c2), 0)
+        .operand_from(0);
+    let outcome = session.execute(&txn).unwrap();
+    assert_eq!(outcome.results, vec![INITIAL_BALANCE, 0, 2 * INITIAL_BALANCE]);
+    assert_eq!(cluster.shared().nodes[0].table(SAVINGS).unwrap().read(c1).unwrap().switch_word(), 0);
+    assert_eq!(cluster.switch_stats().lm_requests, 2, "one lock request per distinct hot tuple");
+}
+
+#[test]
 fn cond_sub_aborts_on_the_host_but_is_a_constrained_no_apply_on_the_switch() {
     let cluster = smallbank_cluster();
     let mut session = cluster.session(NodeId(0)).unwrap();

@@ -231,48 +231,68 @@ fn random_wal(rng: &mut FastRng) -> Wal {
     wal
 }
 
-/// Truncating a serialised log at *every* byte offset recovers exactly the
-/// records whose lines are fully intact before the cut — never fewer, never
-/// a corrupted extra one. This is the crash-mid-flush contract
-/// `deserialize_prefix` gives recovery.
+/// Truncating a log's on-disk segment sequence at *every* byte offset — a
+/// crash mid-flush anywhere in the log: the segments before the cut written
+/// in full, the one the cut lands in torn, the ones after it never written —
+/// recovers exactly the records whose frames are fully intact before the
+/// cut, never fewer, never a corrupted extra one. This is the crash-mid-flush
+/// contract `Wal::deserialize_segments` gives recovery.
 #[test]
 fn wal_truncation_at_every_offset_recovers_exactly_the_intact_prefix() {
     check("wal_truncation_at_every_offset_recovers_exactly_the_intact_prefix", |rng| {
-        let wal = random_wal(rng);
-        let records = wal.records();
-        let data = wal.serialize();
-
-        // (start, content_end) of every line; the line's '\n' sits at
-        // content_end, so the line parses once `cut >= content_end`.
-        let mut lines = Vec::new();
-        let mut start = 0usize;
-        for (i, b) in data.bytes().enumerate() {
-            if b == b'\n' {
-                lines.push((start, i));
-                start = i + 1;
-            }
+        let capacity = 1 + rng.gen_range(4) as usize;
+        let records = random_wal(rng).records();
+        let wal = Wal::with_segment_capacity(capacity);
+        for record in &records {
+            wal.append(record.clone());
         }
-        // lines[0] is the header; record r is lines[r + 1].
-        for cut in 0..=data.len() {
-            let torn = &data[..cut];
-            // A pure truncation always tears the *final* line, so this is the
-            // torn-tail arm of the contract — never interior corruption.
-            let (prefix, error) =
-                Wal::deserialize_prefix(torn).expect("a truncation is a torn tail, not interior corruption");
-            let intact = lines.iter().skip(1).filter(|&&(_, content_end)| cut >= content_end).count();
-            let expected: Vec<LogRecord> = records[..intact].to_vec();
+        let blobs = wal.serialize_segments();
+        // ends[k] = byte offset, in the concatenated image, just past
+        // segment k.
+        let ends: Vec<usize> = blobs
+            .iter()
+            .scan(0, |end, blob| {
+                *end += blob.len();
+                Some(*end)
+            })
+            .collect();
+        let total = *ends.last().expect("a non-empty log has segments");
+        for cut in 0..=total {
+            let mut views: Vec<&[u8]> = Vec::new();
+            let mut intact = 0;
+            let mut torn_mid_frame = false;
+            for (k, blob) in blobs.iter().enumerate() {
+                let start = ends[k] - blob.len();
+                if cut >= ends[k] {
+                    views.push(blob.as_slice());
+                    intact = ((k + 1) * capacity).min(records.len());
+                    continue;
+                }
+                if cut > start {
+                    // The torn segment: boundaries[i] = encoded length of
+                    // its first i records.
+                    let base = k * capacity;
+                    let segment = &records[base..(base + capacity).min(records.len())];
+                    let boundaries: Vec<usize> =
+                        (0..=segment.len()).map(|i| encode_segment(base as u64, &segment[..i]).len()).collect();
+                    let within = cut - start;
+                    views.push(&blob[..within]);
+                    intact = base + boundaries.iter().skip(1).filter(|&&end| within >= end).count();
+                    torn_mid_frame = !boundaries.contains(&within);
+                }
+                break;
+            }
+            let (recovered, torn) = Wal::deserialize_segments(&views, capacity)
+                .expect("a truncation is a torn tail, not interior corruption");
             assert_eq!(
-                prefix.records(),
-                expected,
-                "cut at byte {cut}/{} recovered {} records, expected {intact}",
-                data.len(),
-                prefix.records().len(),
+                recovered.records(),
+                records[..intact].to_vec(),
+                "cut at byte {cut}/{total} recovered {} records, expected {intact}",
+                recovered.records().len(),
             );
-            // An error is reported iff the cut strictly tears a line's
-            // content (cutting at a line boundary or right before a newline
-            // leaves only fully-parseable text).
-            let torn_mid_line = lines.iter().any(|&(start, content_end)| start < cut && cut < content_end);
-            assert_eq!(error.is_none(), !torn_mid_line, "cut at byte {cut}: error={error:?}");
+            // A tear is reported iff the cut lands strictly inside a
+            // segment header or a record frame.
+            assert_eq!(torn.is_some(), torn_mid_frame, "cut at byte {cut}: torn={torn:?}");
         }
     });
 }
@@ -281,8 +301,8 @@ fn wal_truncation_at_every_offset_recovers_exactly_the_intact_prefix() {
 /// a batch of k envelopes and truncating the bytes at any boundary decodes
 /// exactly the intact envelope prefix — never fewer, never a corrupted extra
 /// one — with an error reported iff the cut tears a record or the header.
-/// This is the mirror of the WAL truncation property for the fabric's frame
-/// batching.
+/// This is the mirror of the WAL segment truncation property for the
+/// fabric's frame batching.
 #[test]
 fn frame_codec_truncation_at_every_offset_recovers_exactly_the_intact_prefix() {
     check("frame_codec_truncation_at_every_offset_recovers_exactly_the_intact_prefix", |rng| {
@@ -314,15 +334,20 @@ fn frame_codec_truncation_at_every_offset_recovers_exactly_the_intact_prefix() {
 }
 
 /// `Wal::append_group` preserves the torn-tail contract: a log written in
-/// groups serialises byte-identically to the same records appended singly,
-/// and truncating it at every offset still recovers exactly the intact
-/// record prefix.
+/// groups serialises to segments byte-identical to the same records appended
+/// singly (segment rotation lands anywhere inside a group), and truncating
+/// its final segment at every offset still recovers exactly the intact
+/// record prefix through `Wal::deserialize_segments`.
 #[test]
 fn wal_append_group_torn_tail_recovers_exactly_the_intact_prefix() {
     check("wal_append_group_torn_tail_recovers_exactly_the_intact_prefix", |rng| {
-        let singles = random_wal(rng);
-        let records = singles.records();
-        let grouped = Wal::new();
+        let capacity = 1 + rng.gen_range(4) as usize;
+        let records = random_wal(rng).records();
+        let singles = Wal::with_segment_capacity(capacity);
+        for record in &records {
+            singles.append(record.clone());
+        }
+        let grouped = Wal::with_segment_capacity(capacity);
         // Re-append the same records in random-sized groups.
         let mut rest = records.as_slice();
         while !rest.is_empty() {
@@ -330,34 +355,30 @@ fn wal_append_group_torn_tail_recovers_exactly_the_intact_prefix() {
             grouped.append_group(rest[..take].to_vec());
             rest = &rest[take..];
         }
-        let data = grouped.serialize();
-        assert_eq!(data, singles.serialize(), "group-written log must serialise identically");
+        let blobs = grouped.serialize_segments();
+        assert_eq!(blobs, singles.serialize_segments(), "group-written log must serialise identically");
 
-        // Truncation sweep over line-content boundaries (the full every-byte
-        // sweep runs in the singles-based property above; the group property
-        // asserts the same contract holds for group-written logs).
-        let mut lines = Vec::new();
-        let mut start = 0usize;
-        for (i, b) in data.bytes().enumerate() {
-            if b == b'\n' {
-                lines.push((start, i));
-                start = i + 1;
-            }
-        }
-        for cut in 0..=data.len() {
-            let torn = &data[..cut];
-            let (prefix, error) =
-                Wal::deserialize_prefix(torn).expect("a truncation is a torn tail, not interior corruption");
-            let intact = lines.iter().skip(1).filter(|&&(_, content_end)| cut >= content_end).count();
-            assert_eq!(prefix.records(), records[..intact].to_vec(), "cut at byte {cut}/{}", data.len());
-            let torn_mid_line = lines.iter().any(|&(line_start, content_end)| line_start < cut && cut < content_end);
-            assert_eq!(error.is_none(), !torn_mid_line, "cut at byte {cut}: error={error:?}");
+        // Truncate the final segment at every offset; the sealed ones
+        // before it stay intact.
+        let (last, sealed) = blobs.split_last().expect("a non-empty log has segments");
+        let base = sealed.len() * capacity;
+        let tail = &records[base..];
+        // boundary[i] = encoded length of the tail segment's first i records.
+        let boundaries: Vec<usize> = (0..=tail.len()).map(|i| encode_segment(base as u64, &tail[..i]).len()).collect();
+        for cut in 0..=last.len() {
+            let mut views: Vec<&[u8]> = sealed.iter().map(|b| b.as_slice()).collect();
+            views.push(&last[..cut]);
+            let (wal, torn) = Wal::deserialize_segments(&views, capacity)
+                .expect("a truncation is a torn tail, not interior corruption");
+            let intact = boundaries.iter().skip(1).filter(|&&end| cut >= end).count();
+            assert_eq!(wal.records(), records[..base + intact].to_vec(), "cut at byte {cut}/{}", last.len());
+            assert_eq!(torn.is_none(), boundaries.contains(&cut), "cut at byte {cut}: torn={torn:?}");
         }
     });
 }
 
-/// The binary segment codec holds the same every-byte-offset truncation
-/// contract as the text WAL: cutting a segment at *any* byte recovers
+/// The WAL segment codec holds the every-byte-offset truncation contract
+/// recovery relies on: cutting a segment at *any* byte recovers
 /// exactly the records whose frames are fully intact before the cut — never
 /// fewer, never a corrupted extra one — with a torn-tail note iff the cut
 /// strictly tears the header or a record frame.
